@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"gef/internal/obs"
 )
 
 func TestRegistryCoversAllPaperResults(t *testing.T) {
@@ -304,6 +306,27 @@ func TestFig10Quick(t *testing.T) {
 				t.Errorf("education-num trend not positive: %v → %v", vLo, vHi)
 			}
 		}
+	}
+}
+
+// TestFig10NoFalseDivergence pins the P-IRLS divergence test to the
+// convergence tolerance: on the quick Census fit a converged iterate's
+// deviance moves by float noise, and flagging that as pirls_diverged
+// dropped whole λ candidates from the GCV search (R² 0.8986 → 0.8488).
+func TestFig10NoFalseDivergence(t *testing.T) {
+	diverged := obs.Metrics().CounterVec("gam.numerical_warnings", "kind").With("pirls_diverged")
+	before := diverged.Value()
+	r := runQuick(t, "fig10")
+	if n := diverged.Value() - before; n != 0 {
+		t.Errorf("quick Census fit flagged %d P-IRLS divergences, want 0", n)
+	}
+	want := "fidelity on D*: RMSE 0.0858, R² 0.8986"
+	found := false
+	for _, n := range r.Notes {
+		found = found || strings.Contains(n, want)
+	}
+	if !found {
+		t.Errorf("fig10 notes %q lack %q", r.Notes, want)
 	}
 }
 

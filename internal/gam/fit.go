@@ -524,9 +524,13 @@ func fitLogit(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []f
 			}
 			// Divergence recovery: a step that increases the deviance is
 			// halved toward the previous iterate (Wood 2006 §3.2.2-style
-			// step control) before the λ is given up on.
+			// step control) before the λ is given up on. A rise counts
+			// only beyond the convergence tolerance: a converged iterate's
+			// deviance moves by float noise (~1e-8 relative) in either
+			// direction, and that is convergence, not divergence.
+			rose := func(dev float64) bool { return dev-prevDev >= opt.Tol*(math.Abs(dev)+1) }
 			halvings := 0
-			for dev > prevDev && halvings < maxHalvings {
+			for rose(dev) && halvings < maxHalvings {
 				halvings++
 				for j := range cand {
 					cand[j] = 0.5 * (cand[j] + prevBeta[j])
@@ -538,7 +542,7 @@ func fitLogit(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []f
 				}
 			}
 			if halvings > 0 {
-				if dev > prevDev {
+				if rose(dev) {
 					diverged = true
 					mNumWarn.With("pirls_diverged").Inc()
 					lsp.Event("gam.numerical_warning", obs.Str("kind", "pirls_diverged"),
