@@ -26,6 +26,13 @@ go test ./...
 # can never silently drop the suite.
 go test -count=1 -run TestFaultInjection ./...
 
+# Reproduction lock: render every quick-scale experiment and compare it
+# with results/quick_output.txt, wall times and timing columns masked.
+# Any PR that moves an explanation number must regenerate the golden
+# file and say why; run explicitly so the test cache cannot hide a
+# stale golden file.
+go test -count=1 -run TestQuickOutputGolden ./internal/experiments
+
 # Flat-forest traversal benchmark: regenerates BENCH_forest.json (flat
 # SoA vs pointer walk ns/row at batch 1/64/4096 plus the D*-labeling and
 # batch-SHAP stages). On multi-core hosts the harness fails if the flat
