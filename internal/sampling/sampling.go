@@ -330,17 +330,37 @@ func (d *Domains) DomainSize(j int) int { return len(d.Points[j]) }
 //lint:ignore obsspan per-row hot path; the enclosing GenerateCtx span covers the batch
 func (d *Domains) SampleRow(rng *rand.Rand) []float64 {
 	x := make([]float64, d.NumFeatures)
+	d.sampleInto(x, nil, d.featurePoints(), rng)
+	return x
+}
+
+// featurePoints returns the domain of each selected feature in Features
+// order (nil entries under the continuous Random strategy).
+func (d *Domains) featurePoints() [][]float64 {
+	pts := make([][]float64, len(d.Features))
+	for k, j := range d.Features {
+		pts[k] = d.Points[j]
+	}
+	return pts
+}
+
+// sampleInto fills x with one row, drawing the selected features in
+// Features order. Under a discrete strategy the drawn point indices go
+// to codes when it is non-nil (one per selected feature).
+func (d *Domains) sampleInto(x []float64, codes []uint16, pts [][]float64, rng *rand.Rand) {
 	copy(x, d.Fill)
-	for _, j := range d.Features {
+	for k, j := range d.Features {
 		if d.Strategy == Random {
 			r := d.Ranges[j]
 			x[j] = r[0] + rng.Float64()*(r[1]-r[0])
-		} else {
-			pts := d.Points[j]
-			x[j] = pts[rng.Intn(len(pts))]
+			continue
+		}
+		c := rng.Intn(len(pts[k]))
+		x[j] = pts[k][c]
+		if codes != nil {
+			codes[k] = uint16(c)
 		}
 	}
-	return x
 }
 
 // Generate builds the synthetic dataset D*: n rows sampled from the
@@ -356,13 +376,17 @@ func Generate(f *forest.Forest, d *Domains, n int, seed int64) *dataset.Dataset 
 // GenerateCtx is Generate under an obs span; every generated row costs
 // one forest evaluation, counted in sampling.forest_evals. Row sampling
 // draws from one sequential RNG stream (so D*'s inputs are identical
-// for a given seed regardless of parallelism); the forest labeling —
-// the expensive part, one full forest traversal per row — runs through
-// the flat structure-of-arrays batch kernels (forest.Compiled), in
-// parallel over fixed row chunks with disjoint writes, hence
-// bit-identical at any worker count. The caller's ctx threads all the
-// way into the traversal, so deadlines cancel the labeling itself.
-// Returns ctx.Err() if canceled.
+// for a given seed regardless of parallelism) into one backing array.
+// Under a discrete-domain strategy every row is a point of the domain
+// grid, so labeling runs through the forest's grid labeler
+// (forest.Flat.PredictGridCtx): the drawn point indices select
+// precomputed per-point leaf masks instead of walking every tree for
+// every row. Continuous Random rows, and grids too large for the
+// labeler's cache-resident tables, take the flat batch kernels instead.
+// Both paths run in parallel over fixed row chunks with disjoint writes
+// and are bitwise identical to each other at any worker count. The
+// caller's ctx threads all the way into the labeling, so deadlines
+// cancel it. Returns ctx.Err() if canceled.
 func GenerateCtx(ctx context.Context, f *forest.Forest, d *Domains, n int, seed int64) (*dataset.Dataset, error) {
 	_, sp := obs.Start(ctx, "sampling.generate",
 		obs.Int("rows", n), obs.Str("strategy", string(d.Strategy)),
@@ -380,13 +404,36 @@ func GenerateCtx(ctx context.Context, f *forest.Forest, d *Domains, n int, seed 
 		FeatureNames: f.FeatureNames,
 		Task:         task,
 	}
-	for i := 0; i < n; i++ {
-		ds.X[i] = d.SampleRow(rng)
+	pts := d.featurePoints()
+	grid := &forest.Grid{Features: d.Features, Points: pts, Fill: d.Fill}
+	var codes []uint16
+	ns := len(d.Features)
+	if d.Strategy != Random && len(d.Fill) == f.NumFeatures && grid.Pays() {
+		codes = make([]uint16, n*ns)
 	}
-	ys, err := f.PredictBatchCtx(ctx, ds.X)
-	if err != nil {
+	nf := d.NumFeatures
+	rows := make([]float64, n*nf)
+	for i := 0; i < n; i++ {
+		x := rows[i*nf : (i+1)*nf : (i+1)*nf]
+		var c []uint16
+		if codes != nil {
+			c = codes[i*ns : (i+1)*ns]
+		}
+		d.sampleInto(x, c, pts, rng)
+		ds.X[i] = x
+	}
+	sp.Set(obs.Bool("grid", codes != nil))
+	if codes == nil {
+		ys, err := f.PredictBatchCtx(ctx, ds.X)
+		if err != nil {
+			return nil, err
+		}
+		ds.Y = ys
+		return ds, nil
+	}
+	ds.Y = make([]float64, n)
+	if err := forest.Compiled(f).PredictGridCtx(ctx, grid, codes, ds.Y); err != nil {
 		return nil, err
 	}
-	ds.Y = ys
 	return ds, nil
 }
