@@ -2,21 +2,26 @@ package gef
 
 // BENCH_engine.json generator: the same AutoExplain search run twice on
 // one explanation session — cold cache, then warm — with wall times and
-// the engine's per-stage artifact-cache counters. Regenerate the
-// checked-in report with:
+// the engine's per-stage artifact-cache counters, plus one cold and one
+// warm ExplainCtx per explainer family. Regenerate the checked-in report
+// with:
 //
 //	BENCH_ENGINE_OUT=BENCH_engine.json go test -run TestWriteEngineBench .
 //
-// The warm run must both be measurably cheaper and record cache hits on
-// every cacheable stage; the test enforces the hits (the acceptance
-// criterion of the staged engine), while the ratio is recorded for perf
-// PRs to diff.
+// The warm AutoExplain must record cache hits on every cacheable stage
+// (the acceptance criterion of the staged engine), and a warm explain of
+// every family with a fit-stage key must cost at most 5% of its cold
+// explain: a hit serves the fitted model and its fidelity from the
+// cache. gam has no fit key yet (it refits and re-measures on every
+// call), so its rows are recorded but not gated.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,24 +46,92 @@ type engineBenchReport struct {
 		Bytes   int64                       `json:"bytes"`
 		Stages  map[string]map[string]int64 `json:"stages"`
 	} `json:"cache"`
+	Families []familyBenchRow `json:"families"`
 }
 
-// runEngineBench trains the fixture forest and runs the AutoExplain
-// workload twice on one session, returning both wall times and the
-// session's final cache statistics.
-func runEngineBench() (cold, warm time.Duration, stats CacheStats, err error) {
-	ds := dataset.GPrime(4000, 0.1, 19)
-	f, terr := gbdt.Train(ds, gbdt.Params{NumTrees: 100, NumLeaves: 16, Seed: 1})
-	if terr != nil {
-		return 0, 0, stats, fmt.Errorf("training forest: %w", terr)
+// familyBenchRow is one family's explain on the fixture forest: cold on
+// a fresh session, then warm on the same session.
+type familyBenchRow struct {
+	Family       string  `json:"family"`
+	ColdMs       float64 `json:"cold_ms"`
+	WarmMs       float64 `json:"warm_ms"` // median of warmRepeats calls
+	WarmOverCold float64 `json:"warm_over_cold"`
+	Gated        bool    `json:"gated"`
+	Note         string  `json:"note,omitempty"`
+}
+
+const (
+	// warmRepeats warm explains per family; the median keeps one GC
+	// pause from deciding the row.
+	warmRepeats = 5
+	// warmGate bounds warm/cold for families with a fit-stage key.
+	warmGate = 0.05
+)
+
+// engineBenchConfig is the pipeline configuration every engine bench
+// row shares.
+func engineBenchConfig() Config {
+	return Config{
+		NumSamples: 8000,
+		Sampling:   SamplingConfig{Strategy: EquiSize, K: 100},
+		GAM:        GAMOptions{Lambdas: []float64{0.01, 1, 100}},
+		Seed:       3,
 	}
+}
+
+// engineBenchForest trains the fixture forest.
+func engineBenchForest() (*Forest, error) {
+	ds := dataset.GPrime(4000, 0.1, 19)
+	f, err := gbdt.Train(ds, gbdt.Params{NumTrees: 100, NumLeaves: 16, Seed: 1})
+	if err != nil {
+		return nil, fmt.Errorf("training forest: %w", err)
+	}
+	return f, nil
+}
+
+// runFamilyBench times one cold ExplainContext per registered family on
+// a fresh session, then warmRepeats identical calls on that session.
+func runFamilyBench(f *Forest) ([]familyBenchRow, error) {
+	ctx := context.Background()
+	var rows []familyBenchRow
+	for _, fam := range Families() {
+		cfg := engineBenchConfig()
+		cfg.Family = fam
+		s := NewExplainer(f)
+		start := time.Now()
+		if _, err := s.ExplainContext(ctx, cfg); err != nil {
+			return nil, fmt.Errorf("cold %s explain: %w", fam, err)
+		}
+		cold := time.Since(start)
+		warm := make([]time.Duration, warmRepeats)
+		for i := range warm {
+			start := time.Now()
+			if _, err := s.ExplainContext(ctx, cfg); err != nil {
+				return nil, fmt.Errorf("warm %s explain: %w", fam, err)
+			}
+			warm[i] = time.Since(start)
+		}
+		slices.Sort(warm)
+		row := familyBenchRow{
+			Family: fam,
+			ColdMs: float64(cold) / float64(time.Millisecond),
+			WarmMs: float64(warm[warmRepeats/2]) / float64(time.Millisecond),
+			Gated:  fam != FamilyGAM,
+		}
+		row.WarmOverCold = row.WarmMs / row.ColdMs
+		if !row.Gated {
+			row.Note = "no fit-stage key yet: every call refits and re-measures fidelity"
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// runEngineBench runs the AutoExplain workload twice on one session over
+// f, returning both wall times and the session's final cache statistics.
+func runEngineBench(f *Forest) (cold, warm time.Duration, stats CacheStats, err error) {
 	acfg := AutoConfig{
-		Base: Config{
-			NumSamples: 8000,
-			Sampling:   SamplingConfig{Strategy: EquiSize, K: 100},
-			GAM:        GAMOptions{Lambdas: []float64{0.01, 1, 100}},
-			Seed:       3,
-		},
+		Base:            engineBenchConfig(),
 		MaxUnivariate:   5,
 		MaxInteractions: 1,
 	}
@@ -78,14 +151,28 @@ func runEngineBench() (cold, warm time.Duration, stats CacheStats, err error) {
 func TestWriteEngineBench(t *testing.T) {
 	path := os.Getenv("BENCH_ENGINE_OUT")
 	if path == "" {
-		t.Skip("set BENCH_ENGINE_OUT=<path> to generate the cold vs warm AutoExplain report")
+		t.Skip("set BENCH_ENGINE_OUT=<path> to generate the cold vs warm explain report")
 	}
-	cold, warm, stats, err := runEngineBench()
+	f, err := engineBenchForest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, warm, stats, err := runEngineBench(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Hits == 0 {
 		t.Fatal("warm AutoExplain recorded no cache hits — the engine cache is not engaging")
+	}
+	families, err := runFamilyBench(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range families {
+		if row.Gated && row.WarmOverCold > warmGate {
+			t.Fatalf("warm %s explain took %.3fms, %.1f%% of its cold %.1fms; the gate is %.0f%%",
+				row.Family, row.WarmMs, 100*row.WarmOverCold, row.ColdMs, 100*warmGate)
+		}
 	}
 
 	rep := engineBenchReport{
@@ -96,6 +183,8 @@ func TestWriteEngineBench(t *testing.T) {
 		Cores:  runtime.NumCPU(),
 		ColdMs: float64(cold) / float64(time.Millisecond),
 		WarmMs: float64(warm) / float64(time.Millisecond),
+
+		Families: families,
 	}
 	if rep.WarmMs > 0 {
 		rep.WarmSpeedup = rep.ColdMs / rep.WarmMs
@@ -116,6 +205,9 @@ func TestWriteEngineBench(t *testing.T) {
 		t.Fatalf("writing %s: %v", path, err)
 	}
 	t.Logf("cold %.0fms vs warm %.0fms → %.2fx; %s", rep.ColdMs, rep.WarmMs, rep.WarmSpeedup, stats)
+	for _, row := range families {
+		t.Logf("%-8s cold %7.1fms warm %7.3fms (%.2f%%)", row.Family, row.ColdMs, row.WarmMs, 100*row.WarmOverCold)
+	}
 }
 
 // TestEngineWarmAutoExplainCheaper is the ungated acceptance assertion:

@@ -139,9 +139,10 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 	}
 
 	// fit builds and fits the candidate with ns splines and ni tensor
-	// terms (heredity: pairs restricted to the first ns features).
+	// terms (heredity: pairs restricted to the first ns features), and
+	// returns its held-out predictions with their RMSE.
 	h0, m0 := e.basis.Counters()
-	fit := func(ns, ni int) (*gam.Model, []featsel.Pair, float64, error) {
+	fit := func(ns, ni int) (*gam.Model, []featsel.Pair, []float64, float64, error) {
 		cctx, csp := obs.Start(ctx, "auto.candidate",
 			obs.Int("splines", ns), obs.Int("interactions", ni))
 		defer csp.End()
@@ -161,15 +162,16 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		}
 		spec, err := buildSpec(f, p.stats.thresholds, sel, selPairs, base)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
 		m, err := gam.FitCache(cctx, spec, train.X, train.Y, base.GAM, e.basis)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
-		rmse := stats.RMSE(m.PredictBatch(test.X), test.Y)
+		pred := m.PredictBatch(test.X)
+		rmse := stats.RMSE(pred, test.Y)
 		csp.Set(obs.F64("rmse", rmse))
-		return m, selPairs, rmse, nil
+		return m, selPairs, pred, rmse, nil
 	}
 	defer func() {
 		h1, m1 := e.basis.Counters()
@@ -177,14 +179,14 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 	}()
 
 	var trace []AutoStep
-	bestModel, bestPairs, bestRMSE, err := fit(1, 0)
+	bestModel, bestPairs, bestPred, bestRMSE, err := fit(1, 0)
 	if err != nil {
 		return nil, nil, robust.CtxErr(err)
 	}
 	ns, ni := 1, 0
 	trace = append(trace, AutoStep{NumUnivariate: 1, RMSE: bestRMSE, Accepted: true})
 	for ns < len(features) {
-		m, sp, rmse, err := fit(ns+1, 0)
+		m, sp, pred, rmse, err := fit(ns+1, 0)
 		if errors.Is(err, robust.ErrNumerical) {
 			// A numerically unfittable candidate ends the search at the
 			// last accepted model instead of aborting: growing further
@@ -201,10 +203,10 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		if !improved {
 			break
 		}
-		bestModel, bestPairs, bestRMSE, ns = m, sp, rmse, ns+1
+		bestModel, bestPairs, bestPred, bestRMSE, ns = m, sp, pred, rmse, ns+1
 	}
 	for ni < cfg.MaxInteractions && ns >= 2 {
-		m, sp, rmse, err := fit(ns, ni+1)
+		m, sp, pred, rmse, err := fit(ns, ni+1)
 		if errors.Is(err, robust.ErrNumerical) {
 			root.Event("auto.stopped", obs.Str("reason", err.Error()),
 				obs.Int("splines", ns), obs.Int("interactions", ni+1))
@@ -221,7 +223,7 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		if !improved {
 			break
 		}
-		bestModel, bestPairs, bestRMSE, ni = m, sp, rmse, ni+1
+		bestModel, bestPairs, bestPred, bestRMSE, ni = m, sp, pred, rmse, ni+1
 	}
 
 	chosen := base
@@ -240,8 +242,7 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		Config:       chosen,
 		Degradations: p.degr,
 	}
-	pred := bestModel.PredictBatch(test.X)
-	ex.Fidelity = Fidelity{RMSE: bestRMSE, R2: stats.R2(pred, test.Y)}
+	ex.Fidelity = Fidelity{RMSE: bestRMSE, R2: stats.R2(bestPred, test.Y)}
 	return ex, trace, nil
 }
 

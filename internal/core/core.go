@@ -361,7 +361,7 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 	if err := checkpoint(4); err != nil {
 		return nil, err
 	}
-	model, err := p.fitSurrogate(ctx, pairs)
+	model, fid, err := p.fitSurrogate(ctx, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("gef: fitting the %s explanation: %w", cfg.Family, err)
 	}
@@ -374,6 +374,7 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 		Domains:      p.domains,
 		Train:        p.train,
 		Test:         p.test,
+		Fidelity:     fid,
 		Forest:       f,
 		Config:       cfg,
 		Degradations: p.degr,
@@ -381,19 +382,6 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 	if gm, ok := model.(*gamModel); ok {
 		ex.Model = gm.m
 	}
-	fctx, fsp := obs.Start(ctx, "gef.fidelity", obs.Int("test_rows", len(p.test.X)),
-		obs.Str("family", ex.Family))
-	pred, perr := model.PredictBatch(fctx, p.test.X)
-	if perr != nil {
-		fsp.End()
-		return nil, perr
-	}
-	ex.Fidelity = Fidelity{
-		RMSE: stats.RMSE(pred, p.test.Y),
-		R2:   stats.R2(pred, p.test.Y),
-	}
-	fsp.Set(obs.F64("rmse", ex.Fidelity.RMSE), obs.F64("r2", ex.Fidelity.R2))
-	fsp.End()
 	root.Set(obs.F64("rmse", ex.Fidelity.RMSE), obs.F64("r2", ex.Fidelity.R2))
 	return ex, nil
 }
@@ -403,20 +391,20 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 // a family fails numerically even after its own in-family recovery.
 // Each fallback rung is recorded in the pipeline's degradation list, so
 // the caller always knows which family actually produced the model.
-func (p *pipeline) fitSurrogate(ctx context.Context, pairs []featsel.Pair) (SurrogateModel, error) {
+func (p *pipeline) fitSurrogate(ctx context.Context, pairs []featsel.Pair) (SurrogateModel, Fidelity, error) {
 	fam := p.cfg.Family
 	for {
 		sur, err := surrogateFor(fam)
 		if err != nil {
-			return nil, err
+			return nil, Fidelity{}, err
 		}
-		model, err := p.runFit(ctx, sur, pairs)
+		art, err := p.runFit(ctx, sur, pairs)
 		if err == nil {
-			return model, nil
+			return art.model, art.fid, nil
 		}
 		next, ok := familyFallback[fam]
 		if !ok || !errors.Is(err, robust.ErrNumerical) {
-			return nil, err
+			return nil, Fidelity{}, err
 		}
 		robust.Record(ctx, &p.degr, robust.Degradation{
 			Stage:  "fit",
@@ -428,13 +416,16 @@ func (p *pipeline) fitSurrogate(ctx context.Context, pairs []featsel.Pair) (Surr
 	}
 }
 
-// runFit runs one family's fit through the engine. Families with a
-// non-empty Key fragment cache their fitted model as a fit-stage
+// runFit runs one family's fit through the engine and measures the
+// fitted model's fidelity on the held-out split inside the same stage,
+// so the artifact carries it and a cache hit predicts nothing. The key
+// embeds the sample key, so a cached artifact's held-out split is always
+// the caller's own. Families with a non-empty Key fragment cache the
 // artifact keyed under the sample key, the family, the pair list and
 // the fragment; the gam family stays uncached (empty key) and surfaces
 // its reuse through the engine's gam.BasisCache counters instead — the
 // unconditional addStage below folds those deltas into the "fit" row.
-func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pair) (SurrogateModel, error) {
+func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pair) (*fitArtifact, error) {
 	key := ""
 	if frag := sur.Key(p.cfg); frag != "" {
 		key = "ft|" + p.smpKey + "|fam=" + sur.Name() + "|p=" + pairsKey(pairs) + "|" + frag
@@ -455,6 +446,10 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 				Test:       p.test,
 				Basis:      p.eng.basis,
 			})
+			var fid Fidelity
+			if ferr == nil {
+				fid, ferr = measureFidelity(ctx, model, p.test)
+			}
 			if ferr != nil {
 				// In-family degradations that preceded the failure still
 				// belong to the pipeline record (the ladder may fall back
@@ -462,7 +457,7 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 				p.degr = append(p.degr, degr...)
 				return nil, ferr
 			}
-			return &fitArtifact{model: model, degr: degr}, nil
+			return &fitArtifact{model: model, degr: degr, fid: fid}, nil
 		},
 	})
 	h1, m1 := p.eng.basis.Counters()
@@ -475,7 +470,22 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 	// already counted when the artifact was computed — mirror the
 	// domains stage and only extend the pipeline record here).
 	p.degr = append(p.degr, art.degr...)
-	return art.model, nil
+	return art, nil
+}
+
+// measureFidelity scores model against the forest's own responses on
+// the held-out split (paper §3.5).
+func measureFidelity(ctx context.Context, model SurrogateModel, test *dataset.Dataset) (Fidelity, error) {
+	ctx, sp := obs.Start(ctx, "gef.fidelity", obs.Int("test_rows", len(test.X)),
+		obs.Str("family", model.Family()))
+	defer sp.End()
+	pred, err := model.PredictBatch(ctx, test.X)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	fid := Fidelity{RMSE: stats.RMSE(pred, test.Y), R2: stats.R2(pred, test.Y)}
+	sp.Set(obs.F64("rmse", fid.RMSE), obs.F64("r2", fid.R2))
+	return fid, nil
 }
 
 // fitLadder fits spec, walking the structural degradation ladder when

@@ -42,7 +42,9 @@ const defaultCacheBudget = 256 << 20
 // Fitted GAMs are never cached (they depend on the whole upstream
 // state); the gam fit instead reuses B-spline bases and penalty blocks
 // through a session-wide gam.BasisCache. The other families cache their
-// fitted models as ordinary fit-stage artifacts (see Surrogate.Key).
+// fitted models, with the fidelity measured on the held-out split, as
+// ordinary fit-stage artifacts (see Surrogate.Key), so a warm explain of
+// those families evaluates no surrogate at all.
 //
 // Cached artifacts are immutable by convention: stages copy anything
 // they need to mutate, and result fields that alias cache entries

@@ -164,13 +164,14 @@ func init() {
 	RegisterSurrogate(distillSurrogate{})
 }
 
-// fitArtifact is the fit stage's cacheable output: the fitted model plus
-// the degradations its fit recorded, so a cache hit replays the same
-// simplification record the original computation produced (mirroring
-// domainsArtifact).
+// fitArtifact is the fit stage's cacheable output: the fitted model,
+// its held-out fidelity, and the degradations its fit recorded, so a
+// cache hit replays the same simplification record the original
+// computation produced (mirroring domainsArtifact) without predicting.
 type fitArtifact struct {
 	model SurrogateModel
 	degr  []robust.Degradation
+	fid   Fidelity
 }
 
 // cost approximates the artifact's resident bytes for the engine's
@@ -178,8 +179,16 @@ type fitArtifact struct {
 func (a *fitArtifact) cost() int64 {
 	switch m := a.model.(type) {
 	case *smootherModel:
+		// Row-major payload plus the kernel's column copy of the
+		// features with a non-zero bandwidth.
 		p := m.m.Payload()
-		c := int64(len(p.Dict))*int64(len(p.Features)+1)*8 + 512
+		active := 0
+		for _, h := range p.Bandwidths {
+			if h != 0 {
+				active++
+			}
+		}
+		c := int64(len(p.Dict))*int64(len(p.Features)+active+1)*8 + 512
 		return c + int64(len(p.Bandwidths))*8
 	case *distillModel:
 		nodes := 0
@@ -191,8 +200,9 @@ func (a *fitArtifact) cost() int64 {
 		return int64(len(m.p.Weights)+len(m.p.X0)+len(m.p.SDs))*8 + 512
 	default:
 		// Rule models hold a compiled-forest pointer (owned by the
-		// process-wide forest.Compiled cache, not this entry) plus a
-		// summary; GAM models are never cached here.
+		// process-wide forest.Compiled cache, not this entry), a summary
+		// and leaf-rank tables of a few bytes per node; GAM models are
+		// never cached here.
 		return 2048
 	}
 }
@@ -247,7 +257,7 @@ func (gamSurrogate) UnmarshalPayload(data []byte) (SurrogateModel, error) {
 // gamModel wraps the fitted GAM behind the family-neutral interface.
 type gamModel struct{ m *gam.Model }
 
-func (g *gamModel) Family() string             { return FamilyGAM }
+func (g *gamModel) Family() string              { return FamilyGAM }
 func (g *gamModel) Predict(x []float64) float64 { return g.m.Predict(x) }
 
 func (g *gamModel) PredictBatch(_ context.Context, xs [][]float64) ([]float64, error) {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -82,7 +83,16 @@ type Summary struct {
 type Model struct {
 	f       *forest.Forest
 	fl      *forest.Flat
+	rank    []int32      // leaf node index → reduction rank (leaves only)
+	ranked  []rankedLeaf // rank → the leaf's tree and diff
 	summary Summary
+}
+
+// rankedLeaf is one leaf in reduction-rank order: its tree and its
+// value's deviation from the tree mean.
+type rankedLeaf struct {
+	tree int32
+	diff float64
 }
 
 // Term is one conjunct of a rule: a half-open or bounded range on a
@@ -128,9 +138,13 @@ func Fit(ctx context.Context, f *forest.Forest, train *dataset.Dataset, cfg Conf
 			hi = y
 		}
 	}
+	fl := forest.Compiled(f)
+	rank, ranked := rankLeaves(fl)
 	m := &Model{
-		f:  f,
-		fl: forest.Compiled(f),
+		f:      f,
+		fl:     fl,
+		rank:   rank,
+		ranked: ranked,
 		summary: Summary{
 			Tolerance:    cfg.Tolerance,
 			AbsTolerance: math.Max(cfg.Tolerance*(hi-lo), 1e-12),
@@ -221,8 +235,8 @@ func (m *Model) Explain(x []float64) (*Rule, error) {
 	// (x ≤ threshold goes left, so NaN falls right like the kernels).
 	los := map[int]float64{}
 	his := map[int]float64{}
-	for _, key := range red.keys[:k] {
-		i := m.fl.TreeRoot(key.tree)
+	for _, rk := range red.order[:k] {
+		i := m.fl.TreeRoot(int(m.ranked[rk].tree))
 		for !m.fl.IsLeaf(i) {
 			j := int(m.fl.Feature(i))
 			thr := m.fl.Threshold(i)
@@ -281,23 +295,55 @@ func (r *Rule) String() string {
 	return b.String()
 }
 
+// rankLeaves orders every (tree, leaf) pair of fl once by the reduction
+// comparator — |leaf − tree mean| descending, tree ascending — with the
+// node index as a last tie-break so the ranks are unique. One row holds
+// one leaf per tree, so the ranks of its leaves order its trees exactly
+// as sorting their (|diff|, tree) keys would: the comparator is a total
+// order on those keys (Validate rejects non-finite leaves).
+func rankLeaves(fl *forest.Flat) (rank []int32, ranked []rankedLeaf) {
+	type leafKey struct {
+		abs, diff  float64
+		tree, node int32
+	}
+	var keys []leafKey
+	for t := 0; t < fl.NumTrees; t++ {
+		root := fl.TreeRoot(t)
+		for i := root; i < root+int32(fl.TreeNodes(t)); i++ {
+			if fl.IsLeaf(i) {
+				d := fl.Value(i) - fl.TreeMean(t)
+				keys = append(keys, leafKey{abs: math.Abs(d), diff: d, tree: int32(t), node: i})
+			}
+		}
+	}
+	slices.SortFunc(keys, func(a, b leafKey) int {
+		switch {
+		case a.abs > b.abs:
+			return -1
+		case a.abs < b.abs:
+			return 1
+		case a.tree != b.tree:
+			return int(a.tree - b.tree)
+		}
+		return int(a.node - b.node)
+	})
+	rank = make([]int32, fl.NumNodes())
+	ranked = make([]rankedLeaf, len(keys))
+	for r, k := range keys {
+		rank[k.node] = int32(r)
+		ranked[r] = rankedLeaf{tree: k.tree, diff: k.diff}
+	}
+	return rank, ranked
+}
+
 // reducer holds per-goroutine scratch for the per-instance reduction so
 // parallel rows never share state.
 type reducer struct {
-	fl       *forest.Flat
-	diffs    []float64 // leaf value − tree mean, per tree
-	keys     []treeKey // trees by |diff| descending, index ascending on ties
+	m        *Model
+	order    []int32   // the row's leaf ranks, ascending: its trees in reduction order
+	seen     []uint64  // bitmap over ranks; all zero between rows
 	suffixes []float64 // dropped-diff suffix sums, len trees+1
 	leaves   []int32   // per-row leaf indices; leafBlock rows × trees once batched
-	absTol   float64
-}
-
-// treeKey is one tree's sort key: its leaf's |leaf − mean| and its
-// index. The index tie-break makes the order total, so every sort
-// algorithm yields the same permutation.
-type treeKey struct {
-	abs  float64
-	tree int
 }
 
 // leafBlock is the number of rows whose leaves one batched kernel call
@@ -309,24 +355,23 @@ const leafBlock = 32
 func (m *Model) newReducer() *reducer {
 	nt := m.fl.NumTrees
 	return &reducer{
-		fl:       m.fl,
-		diffs:    make([]float64, nt),
-		keys:     make([]treeKey, nt),
+		m:        m,
+		order:    make([]int32, nt),
+		seen:     make([]uint64, (len(m.ranked)+63)/64),
 		suffixes: make([]float64, nt+1),
-		absTol:   m.summary.AbsTolerance,
 	}
 }
 
 // reduce computes the reduced prediction for one row, walking each tree
 // on its own (the single-row path).
 func (red *reducer) reduce(x []float64) (pred float64, kept int) {
-	nt := red.fl.NumTrees
+	nt := red.m.fl.NumTrees
 	if cap(red.leaves) < nt {
 		red.leaves = make([]int32, nt)
 	}
 	leaves := red.leaves[:nt]
 	for t := range leaves {
-		leaves[t] = red.fl.Leaf(t, x)
+		leaves[t] = red.m.fl.Leaf(t, x)
 	}
 	return red.reduceLeaves(leaves)
 }
@@ -335,14 +380,14 @@ func (red *reducer) reduce(x []float64) (pred float64, kept int) {
 // of leafBlock rows from one LeavesBatch call (which routes exactly like
 // Leaf), and hands row i's result to emit.
 func (red *reducer) reduceRows(xs [][]float64, emit func(i int, pred float64, kept int)) {
-	nt := red.fl.NumTrees
+	nt := red.m.fl.NumTrees
 	if cap(red.leaves) < leafBlock*nt {
 		red.leaves = make([]int32, leafBlock*nt)
 	}
 	for lo := 0; lo < len(xs); lo += leafBlock {
 		hi := min(lo+leafBlock, len(xs))
 		leaves := red.leaves[:(hi-lo)*nt]
-		red.fl.LeavesBatch(xs[lo:hi], leaves)
+		red.m.fl.LeavesBatch(xs[lo:hi], leaves)
 		for r := 0; r < hi-lo; r++ {
 			pred, kept := red.reduceLeaves(leaves[r*nt : (r+1)*nt])
 			emit(lo+r, pred, kept)
@@ -355,40 +400,43 @@ func (red *reducer) reduceRows(xs [][]float64, emit func(i int, pred float64, ke
 // the tree mean, and the shortest prefix whose prediction (kept leaves +
 // dropped trees' means) stays within the absolute tolerance of the full
 // forest wins. Returns the reduced response-scale prediction and the
-// kept-tree count. The suffix scan is a fixed serial order, so results
-// are bitwise identical at any worker count.
+// kept-tree count. The order comes from the precomputed leaf ranks: the
+// row's ranks are set in a bitmap and read back in ascending order. The
+// suffix scan is a fixed serial order, so results are bitwise identical
+// at any worker count.
 func (red *reducer) reduceLeaves(leaves []int32) (pred float64, kept int) {
-	fl := red.fl
+	m, fl := red.m, red.m.fl
 	nt := fl.NumTrees
 	fullRaw := fl.BaseScore
-	for t, leaf := range leaves {
-		v := fl.Value(leaf)
-		fullRaw += v
-		d := v - fl.TreeMean(t)
-		red.diffs[t] = d
-		red.keys[t] = treeKey{abs: math.Abs(d), tree: t}
+	for _, leaf := range leaves {
+		fullRaw += fl.Value(leaf)
+		r := m.rank[leaf]
+		red.seen[r>>6] |= 1 << (r & 63)
 	}
-	slices.SortFunc(red.keys, func(a, b treeKey) int {
-		switch {
-		case a.abs > b.abs:
-			return -1
-		case a.abs < b.abs:
-			return 1
+	n := 0
+	for w, word := range red.seen {
+		if word == 0 {
+			continue
 		}
-		return a.tree - b.tree
-	})
+		red.seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			red.order[n] = int32(w<<6 | bits.TrailingZeros64(word))
+			n++
+		}
+	}
 	full := red.response(fullRaw)
-	// suffixes[k] = Σ diffs of the dropped trees when keeping keys[:k];
+	// suffixes[k] = Σ diffs of the dropped trees when keeping order[:k];
 	// walking k upward finds the minimal prefix within tolerance.
 	suffix := 0.0
 	for k := nt - 1; k >= 0; k-- {
-		suffix += red.diffs[red.keys[k].tree]
+		suffix += m.ranked[red.order[k]].diff
 		red.suffixes[k] = suffix
 	}
 	red.suffixes[nt] = 0
+	absTol := m.summary.AbsTolerance
 	for k := 0; k <= nt; k++ {
 		p := red.response(fullRaw - red.suffixes[k])
-		if math.Abs(p-full) <= red.absTol {
+		if math.Abs(p-full) <= absTol {
 			return p, k
 		}
 	}
@@ -397,7 +445,7 @@ func (red *reducer) reduceLeaves(leaves []int32) (pred float64, kept int) {
 
 // response maps a raw additive score to the forest's response scale.
 func (red *reducer) response(raw float64) float64 {
-	if red.fl.Objective == forest.BinaryLogistic {
+	if red.m.fl.Objective == forest.BinaryLogistic {
 		return forest.Sigmoid(raw)
 	}
 	return raw

@@ -83,6 +83,31 @@ type Payload struct {
 // Model is a fitted Nadaraya–Watson smoother over forest geometry.
 type Model struct {
 	p Payload
+	// The kernel's structure-of-arrays view of the dictionary: one
+	// contiguous column per feature with a non-zero bandwidth, in
+	// Features order, with those features' input indices and bandwidths.
+	cols  [][]float64
+	feats []int
+	hs    []float64
+}
+
+// newModel builds the kernel layout over p (which it keeps as is for
+// Payload).
+func newModel(p Payload) *Model {
+	m := &Model{p: p}
+	for fi, h := range p.Bandwidths {
+		if h == 0 {
+			continue
+		}
+		col := make([]float64, len(p.Dict))
+		for i, d := range p.Dict {
+			col[i] = d[fi]
+		}
+		m.cols = append(m.cols, col)
+		m.feats = append(m.feats, p.Features[fi])
+		m.hs = append(m.hs, h)
+	}
+	return m
 }
 
 // Fit estimates bandwidths from tree co-leaf proximities on a bounded
@@ -171,7 +196,7 @@ func Fit(ctx context.Context, f *forest.Forest, features []int, train *dataset.D
 	}
 	sp.Set(obs.Int("dict_rows", m), obs.Int("proximity_pairs", len(pairs)),
 		obs.Int("usable_bandwidths", usable))
-	return &Model{p: p}, nil
+	return newModel(p), nil
 }
 
 func trainRows(d *dataset.Dataset) int {
@@ -229,7 +254,7 @@ func FromPayload(p Payload) (*Model, error) {
 		return nil, fmt.Errorf("smoother: inconsistent payload (%d dict rows, %d labels, %d features, %d bandwidths)",
 			len(p.Dict), len(p.Y), len(p.Features), len(p.Bandwidths))
 	}
-	return &Model{p: p}, nil
+	return newModel(p), nil
 }
 
 // Payload returns the serializable model state.
@@ -248,18 +273,24 @@ func (m *Model) Bandwidths() []float64 { return m.p.Bandwidths }
 // nearest point always gets weight 1, so the estimate degrades to
 // nearest-dictionary-neighbour instead of 0/0.
 func (m *Model) Predict(x []float64) float64 {
-	logw := make([]float64, len(m.p.Dict))
-	maxw := math.Inf(-1)
-	for i, d := range m.p.Dict {
-		s := 0.0
-		for fi, j := range m.p.Features {
-			h := m.p.Bandwidths[fi]
-			if h == 0 {
-				continue
-			}
-			z := (x[j] - d[fi]) / h
-			s += z * z
+	return m.predict(x, make([]float64, len(m.p.Dict)))
+}
+
+// predict is Predict with caller-owned scratch of len(Dict). Each
+// point's squared distance accumulates over the active features in
+// Features order, the same additions as a row-major loop that skips
+// zero bandwidths, so the result is bitwise identical to it.
+func (m *Model) predict(x, logw []float64) float64 {
+	clear(logw)
+	for c, col := range m.cols {
+		xj, h := x[m.feats[c]], m.hs[c]
+		for i, d := range col {
+			z := (xj - d) / h
+			logw[i] += z * z
 		}
+	}
+	maxw := math.Inf(-1)
+	for i, s := range logw {
 		logw[i] = -0.5 * s
 		if logw[i] > maxw {
 			maxw = logw[i]
@@ -275,12 +306,13 @@ func (m *Model) Predict(x []float64) float64 {
 }
 
 // PredictBatch evaluates every row, parallelized over rows with the
-// bitwise-determinism contract.
+// bitwise-determinism contract. Each chunk reuses one scratch slice.
 func (m *Model) PredictBatch(ctx context.Context, xs [][]float64) ([]float64, error) {
 	out := make([]float64, len(xs))
 	if err := par.For(ctx, len(xs), 0, func(_, lo, hi int) {
+		logw := make([]float64, len(m.p.Dict))
 		for i := lo; i < hi; i++ {
-			out[i] = m.Predict(xs[i])
+			out[i] = m.predict(xs[i], logw)
 		}
 	}); err != nil {
 		return nil, robust.CtxErr(err)
